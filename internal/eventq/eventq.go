@@ -185,19 +185,6 @@ func (q *Queue) RunUntil(horizon float64) uint64 {
 	return n
 }
 
-// NextAt returns the timestamp of the earliest pending event and true, or
-// (0, false) when the queue is empty. It does not advance the clock. The
-// sharded coordinator uses it to fast-forward over epoch windows in which no
-// domain has work: the jump is a pure function of queue state, so skipping
-// empty windows cannot perturb the event sequence.
-func (q *Queue) NextAt() (float64, bool) {
-	it := q.peek()
-	if it == nil {
-		return 0, false
-	}
-	return it.at, true
-}
-
 // peek returns the earliest pending item without removing it, skipping over
 // lazily cancelled entries.
 func (q *Queue) peek() *item {

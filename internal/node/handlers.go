@@ -33,16 +33,24 @@ func (n *Node) registerConn(hello protocol.Hello, conn transport.Conn) {
 			return // our outbound connection wins; leave the map alone
 		}
 	}
+	n.startPeerConn(hello.Peer, conn, hello.Sharing)
+}
+
+// startPeerConn maps conn as the sending connection to peer and starts its
+// writer, which runs until dropConnIf unmaps it or the node closes.
+func (n *Node) startPeerConn(peer core.PeerID, conn transport.Conn, sharing bool) *peerConn {
 	pc := &peerConn{
 		n:       n,
-		id:      hello.Peer,
+		id:      peer,
 		conn:    conn,
 		sendQ:   make(chan protocol.Message, n.cfg.SendQueue),
-		sharing: hello.Sharing,
+		quit:    make(chan struct{}),
+		sharing: sharing,
 	}
-	n.conns[hello.Peer] = pc
+	n.conns[peer] = pc
 	n.wg.Add(1)
 	go n.writeLoop(pc)
+	return pc
 }
 
 func (n *Node) dropConnIf(peer core.PeerID, conn transport.Conn) {
@@ -51,6 +59,7 @@ func (n *Node) dropConnIf(peer core.PeerID, conn transport.Conn) {
 		return
 	}
 	delete(n.conns, peer)
+	close(pc.quit)
 	// Uploads to the departed peer cannot proceed.
 	for k, u := range n.uploads {
 		if u.to == peer {
@@ -86,6 +95,14 @@ func (n *Node) getConn(peer core.PeerID, addrHint string) *peerConn {
 		return nil
 	}
 	conn, err := n.cfg.Transport.Dial(addr)
+	if err != nil && addrHint != "" {
+		// The hint goes stale when the peer restarts under a new address;
+		// the lookup service knows where it went.
+		if cur, ok := n.cfg.Lookup(peer); ok && cur != addrHint {
+			addr = cur
+			conn, err = n.cfg.Transport.Dial(addr)
+		}
+	}
 	if err != nil {
 		n.logf("dial %d at %s: %v", peer, addr, err)
 		return nil
@@ -94,11 +111,9 @@ func (n *Node) getConn(peer core.PeerID, addrHint string) *peerConn {
 		_ = conn.Close() // node is shutting down
 		return nil
 	}
-	pc := &peerConn{n: n, id: peer, conn: conn, sendQ: make(chan protocol.Message, n.cfg.SendQueue)}
-	n.conns[peer] = pc
-	n.wg.Add(2)
+	pc := n.startPeerConn(peer, conn, false)
+	n.wg.Add(1)
 	go n.readLoop(conn, peer)
-	go n.writeLoop(pc)
 	pc.send(&protocol.Hello{Peer: n.cfg.ID, Sharing: n.cfg.Share})
 	return pc
 }

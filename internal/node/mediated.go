@@ -32,12 +32,12 @@ import (
 // origins. Each origin that answers the manifest race is granted one
 // stripe — an interleaved residue class of block indices — and is
 // escrowed, audited, and decrypted independently, because the audit is
-// per-origin and each origin's exchange id (sender, recipient, object) is
-// distinct. Sealed blocks are acknowledged positionally, strictly scoped
-// to the granted origin's lane and current session (blocks of a dead
-// session were sealed under a key the audit will never release). When a
-// stripe fills, the receiver submits randomly chosen sample blocks from
-// that stripe for audit; a released key decrypts the stripe and the
+// per-origin and each session's exchange id (sender, recipient, object,
+// session) is distinct. Sealed blocks are acknowledged positionally,
+// strictly scoped to the granted origin's lane and current session (blocks
+// of a dead session were sealed under a key the audit will never release).
+// When a stripe fills, the receiver submits randomly chosen sample blocks
+// from that stripe for audit; a released key decrypts the stripe and the
 // plaintext is digest-checked block by block. An audit rejection proves
 // that origin cheated — the tier has flagged it — and costs only its own
 // stripe: the junk is discarded and the freed stripe is offered to the
@@ -114,15 +114,17 @@ func (dl *download) auditing() bool {
 }
 
 // medExchangeID derives the escrow identifier both sides of a transfer
-// agree on without negotiation: a hash of (sender, recipient, object).
-// Scoping it to the recipient keeps concurrent uploads of one object to
-// different peers on distinct escrow entries, so each session can use its
-// own key.
-func medExchangeID(sender, recipient core.PeerID, obj catalog.ObjectID) uint64 {
+// agree on without negotiation: a hash of (sender, recipient, object,
+// session). Scoping it to the recipient keeps concurrent uploads of one
+// object to different peers on distinct escrow entries; scoping it to the
+// session keeps an origin's next session to the same recipient from
+// re-depositing over the key of a stripe whose audit is still in flight.
+func medExchangeID(sender, recipient core.PeerID, obj catalog.ObjectID, session uint64) uint64 {
 	h := uint64(uint32(sender))
 	h = (h ^ uint64(uint32(recipient))*0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
 	h = (h ^ uint64(uint32(obj))*0x94d049bb133111eb) ^ h>>29
-	return h
+	h = (h ^ session) * 0xbf58476d1ce4e5b9
+	return h ^ h>>31
 }
 
 // medSealKey draws a fresh random key and session id for one upload
@@ -151,7 +153,7 @@ func medSealKey() (key [16]byte, session uint64, ok bool) {
 // requester's entry stays queued, so a later schedule retries).
 func (n *Node) startEscrow(u *upload) {
 	key := upKey{to: u.to, object: u.object}
-	exchange := medExchangeID(n.cfg.ID, u.to, u.object)
+	exchange := medExchangeID(n.cfg.ID, u.to, u.object, u.session)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -387,7 +389,7 @@ func (n *Node) startStripeVerify(dl *download, idx int) {
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		key, err := n.cfg.Mediator.Verify(medExchangeID(sender, n.cfg.ID, obj), n.cfg.ID, sender, obj, samples)
+		key, err := n.cfg.Mediator.Verify(medExchangeID(sender, n.cfg.ID, obj, session), n.cfg.ID, sender, obj, samples)
 		n.post(func() { n.finishStripeVerify(dl, idx, sender, session, key, err) })
 	}()
 }

@@ -301,3 +301,84 @@ func TestMediatedRidesThroughShardRestart(t *testing.T) {
 		t.Fatal("honest sender was flagged after escrow loss")
 	}
 }
+
+// TestEscrowKeyedPerSession: an origin's next upload session to the same
+// receiver for the same object deposits its key while the receiver's audit
+// of the previous session's stripe is still pending at the tier. Each
+// session must escrow under its own exchange id, so the pending audit still
+// opens under the key its stripe was sealed with and the honest origin is
+// not flagged.
+func TestEscrowKeyedPerSession(t *testing.T) {
+	const size = 4 * 1024
+	mn := newMedNet(t, 1, size)
+	origin := mn.spawnMediated(1, nil)
+	receiver := mn.spawnMediated(2, nil)
+	obj := catalog.ObjectID(5)
+	data := payload(obj, size)
+	blocks := splitBlocks(data, 1024)
+
+	// escrow opens one upload session on the origin, through its own
+	// deposit path, and waits until the tier acknowledged the key.
+	escrow := func() *upload {
+		key, session, ok := medSealKey()
+		if !ok {
+			t.Fatal("no entropy for a session key")
+		}
+		u := &upload{to: receiver.ID(), object: obj, total: uint32(len(blocks)), mediated: true, sealKey: key, session: session}
+		origin.call(func() {
+			origin.uploads[upKey{to: u.to, object: obj}] = u
+			origin.startEscrow(u)
+		})
+		deadline := time.Now().Add(testTimeout)
+		for escrowed := false; !escrowed; origin.call(func() { escrowed = u.escrowed }) {
+			if time.Now().After(deadline) {
+				t.Fatal("deposit never acknowledged")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return u
+	}
+
+	first := escrow()
+	// The receiver holds the first session's whole stripe, sealed under
+	// that session's key.
+	sealed := make([][]byte, len(blocks))
+	for i, b := range blocks {
+		var err error
+		if sealed[i], err = mediator.Seal(first.sealKey, origin.ID(), receiver.ID(), obj, uint32(i), b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The origin's next session to the same receiver escrows before the
+	// first stripe's audit is judged.
+	escrow()
+
+	done := make(chan error, 1)
+	receiver.call(func() {
+		dl := &download{
+			object:    obj,
+			blocks:    sealed,
+			digests:   trueDigests(data, 1024),
+			have:      len(blocks),
+			total:     len(blocks),
+			providers: map[core.PeerID]string{origin.ID(): origin.Addr()},
+			waiters:   []chan error{done},
+			senders:   map[core.PeerID]bool{origin.ID(): true},
+			stripes:   []*stripeState{{origin: origin.ID(), session: first.session, have: len(blocks)}},
+		}
+		receiver.downloads[obj] = dl
+		receiver.startStripeVerify(dl, 0)
+	})
+	if err := WaitFor(done, testTimeout); err != nil {
+		t.Fatalf("audit of the first session failed: %v", err)
+	}
+	if got := receiver.Object(obj); !bytes.Equal(got, data) {
+		t.Fatal("content mismatch after the first session's audit")
+	}
+	if mn.cluster.Flagged(origin.ID()) != 0 {
+		t.Fatal("honest origin was flagged: its second session re-escrowed over the first session's key")
+	}
+	if st := receiver.Stats(); st.MedRejects != 0 {
+		t.Fatalf("honest origin's audit produced %d rejects", st.MedRejects)
+	}
+}

@@ -273,6 +273,7 @@ type peerConn struct {
 	id      core.PeerID
 	conn    transport.Conn
 	sendQ   chan protocol.Message
+	quit    chan struct{} // closed by dropConnIf to end the writer
 	sharing bool
 }
 
@@ -566,6 +567,8 @@ func (n *Node) writeLoop(pc *peerConn) {
 			if err := pc.conn.Send(msg); err != nil {
 				return
 			}
+		case <-pc.quit:
+			return
 		case <-n.stop:
 			return
 		}

@@ -11,6 +11,7 @@ import (
 
 	"barter/internal/catalog"
 	"barter/internal/core"
+	"barter/internal/testutil"
 	"barter/internal/transport"
 )
 
@@ -387,6 +388,54 @@ func TestPeerDepartureMidTransfer(t *testing.T) {
 		}
 	case <-time.After(testTimeout):
 		t.Fatal("client never gave up on departed source")
+	}
+}
+
+// TestDepartedPeersReleaseWriters: a long-lived node serves a series of
+// peers that each connect, download, and leave. Dropping a departed peer's
+// connection must end its writer goroutine, so the serving node's
+// goroutine count returns to its baseline while it is still up.
+func TestDepartedPeersReleaseWriters(t *testing.T) {
+	tn := newTestNet(t)
+	server := tn.spawn(1, nil)
+	obj := catalog.ObjectID(12)
+	data := payload(obj, 8*1024)
+	server.AddObject(obj, data)
+	// Registered after the server's Close, so the check runs first: the
+	// baseline is the idle server, measured while it is still up.
+	testutil.CheckGoroutineLeaks(t, 0)
+
+	for i := 0; i < 8; i++ {
+		c := tn.spawn(core.PeerID(100+i), nil)
+		if err := WaitFor(c.Download(obj, map[core.PeerID]string{1: server.Addr()}), testTimeout); err != nil {
+			t.Fatalf("peer %d: %v", 100+i, err)
+		}
+		if !bytes.Equal(c.Object(obj), data) {
+			t.Fatalf("peer %d: content mismatch", 100+i)
+		}
+		c.Close()
+	}
+}
+
+// TestStaleAddressHintFallsBackToLookup: a provider that restarted under a
+// fresh address stays reachable through the lookup service when the
+// download's address hint has gone stale.
+func TestStaleAddressHintFallsBackToLookup(t *testing.T) {
+	tn := newTestNet(t)
+	old := tn.spawn(1, nil)
+	stale := old.Addr()
+	old.Close()
+	server := tn.spawn(1, nil) // same identity, new address in the directory
+	obj := catalog.ObjectID(13)
+	data := payload(obj, 8*1024)
+	server.AddObject(obj, data)
+	client := tn.spawn(2, nil)
+
+	if err := WaitFor(client.Download(obj, map[core.PeerID]string{1: stale}), testTimeout); err != nil {
+		t.Fatalf("download through a stale address hint: %v", err)
+	}
+	if !bytes.Equal(client.Object(obj), data) {
+		t.Fatal("content mismatch")
 	}
 }
 

@@ -49,16 +49,6 @@ func DeriveSeed(base uint64, labels ...uint64) uint64 {
 	return r.state
 }
 
-// Stream returns a generator seeded with DeriveSeed(base, labels...). It is
-// the constructor the sharded engine uses to hand every partition its own
-// stream: Stream(seed, labelDomain, d) for domain d depends only on the run
-// seed and the domain index, never on how many draws other domains made, so
-// a world partitioned P ways draws the same per-domain sequences no matter
-// which worker executes which domain.
-func Stream(base uint64, labels ...uint64) *RNG {
-	return New(DeriveSeed(base, labels...))
-}
-
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15

@@ -316,18 +316,3 @@ func BenchmarkPowerLawRank(b *testing.B) {
 		_ = p.Rank(r)
 	}
 }
-
-func TestStreamMatchesDeriveSeed(t *testing.T) {
-	a := Stream(42, 7, 3)
-	b := New(DeriveSeed(42, 7, 3))
-	for i := 0; i < 16; i++ {
-		if x, y := a.Uint64(), b.Uint64(); x != y {
-			t.Fatalf("draw %d: Stream %d != New(DeriveSeed) %d", i, x, y)
-		}
-	}
-	// Distinct labels must give statistically independent streams; at
-	// minimum they may not collide on the first draws.
-	if Stream(42, 7, 3).Uint64() == Stream(42, 7, 4).Uint64() {
-		t.Fatal("adjacent labels collide on the first draw")
-	}
-}

@@ -76,22 +76,12 @@ type Sim struct {
 	freeReq  []*request
 	deadSess []*session
 	deadReq  []*request
-
-	// sc is non-nil when this Sim is one domain of a sharded run (see
-	// shard.go). Every cross-partition hook in the engine is guarded by it,
-	// so a nil sc leaves the single-threaded engine's behavior — including
-	// its RNG draw sequence — untouched.
-	sc *shardCtx
 }
 
 // New constructs a run, places initial content, and schedules the initial
 // request burst. The same Config (including Seed) always produces the same
-// run. New builds the single-threaded engine only; configs with Shards > 1
-// must go through NewEngine (or NewSharded directly).
+// run.
 func New(cfg Config) (*Sim, error) {
-	if cfg.Shards > 1 {
-		return nil, fmt.Errorf("sim: New builds the single-threaded engine; use NewEngine for Shards = %d", cfg.Shards)
-	}
 	if cfg.Trace != nil {
 		if cfg.Workload != nil {
 			return nil, fmt.Errorf("sim: Workload and Trace are mutually exclusive")
@@ -118,20 +108,11 @@ func New(cfg Config) (*Sim, error) {
 	// permutation so peer ids carry no class information. This draw must stay
 	// the first consumer of the engine stream so PeerClasses stays aligned
 	// with New; for a legacy mix it consumes exactly the permutation the
-	// historical free-rider draw did.
+	// historical free-rider draw did. The draws after it — interest, initial
+	// store, storage capacity per peer, then the burst stagger and whitewash
+	// jitter — keep the order New has always used.
 	mix := cfg.effectiveMix()
 	classOf := classAssignment(engRNG, mix, cfg.NumPeers)
-	return newSim(cfg, cat, engRNG, mix, classOf, nil)
-}
-
-// newSim is the shared constructor body of the single-threaded engine and of
-// each domain of a sharded run. cfg is already validated (and, for a domain,
-// already cut down to the domain's local population); classOf maps each
-// local peer index to its class in mix; engRNG is the engine stream (for a
-// domain, a rng.Stream keyed by the domain index). The construction draw
-// order — interest, initial store, storage capacity per peer, then the burst
-// stagger and whitewash jitter — is exactly the order New has always used.
-func newSim(cfg Config, cat *catalog.Catalog, engRNG *rng.RNG, mix strategy.Mix, classOf []int, sc *shardCtx) (*Sim, error) {
 	s := &Sim{
 		cfg:     cfg,
 		q:       eventq.New(),
@@ -143,7 +124,6 @@ func newSim(cfg Config, cat *catalog.Catalog, engRNG *rng.RNG, mix strategy.Mix,
 		ulSlots: cfg.UploadSlots(),
 		dlSlots: cfg.DownloadSlots(),
 		mix:     mix,
-		sc:      sc,
 	}
 	s.graph = core.Graph{
 		Adj:     s.adjacency,
@@ -152,14 +132,8 @@ func newSim(cfg Config, cat *catalog.Catalog, engRNG *rng.RNG, mix strategy.Mix,
 		Scratch: core.NewSearchScratch(cfg.NumPeers),
 	}
 
-	// classCounts tallies classOf rather than re-deriving mix.Counts: for
-	// the single-threaded engine the two are identical (Assign apportions by
-	// Counts), and for a sharded domain only the tally reflects how the
-	// global assignment happened to land on this domain's peers.
-	s.classCounts = make([]int, len(mix))
-	for _, c := range classOf {
-		s.classCounts[c]++
-	}
+	// Mix.Assign apportioned classOf by Counts: these are the class sizes.
+	s.classCounts = mix.Counts(cfg.NumPeers)
 	s.peers = make([]*peerState, cfg.NumPeers)
 	for i := range s.peers {
 		st := &s.mix[classOf[i]].Strategy
@@ -394,11 +368,6 @@ func (s *Sim) attemptRequest(p *peerState) bool {
 		// complete from block events, never synchronously).
 		cands := s.holderCands(p, obj)
 		if len(cands) == 0 {
-			// No local holder; in a sharded run, fall back to the
-			// cross-domain directories before declaring a lookup miss.
-			if s.sc != nil && s.startRemoteDownload(p, obj) {
-				return true
-			}
 			s.col.lookupFails++
 			continue
 		}
@@ -701,18 +670,6 @@ func (s *Sim) onBlock(sess *session) {
 	}
 	now := s.q.Now()
 	sess.sent += s.cfg.BlockKbits
-	if sess.remote {
-		// The receiving peer lives in another domain: export the block as a
-		// mailbox message (applied at the next barrier) and keep pumping
-		// until the whole object has been shipped.
-		s.exportBlock(sess)
-		if sess.sent >= s.cfg.ObjectKbits {
-			s.terminateSession(sess, true)
-			return
-		}
-		s.scheduleBlock(sess)
-		return
-	}
 	dst := s.peers[sess.dst]
 	dl := sess.dl
 	dl.receivedKbits += s.cfg.BlockKbits
@@ -739,13 +696,11 @@ func (s *Sim) terminateSession(sess *session, reschedule bool) {
 	s.q.Cancel(sess.blockEv)
 	src := s.peers[sess.src]
 	src.uploads = removeSession(src.uploads, sess)
-	if !sess.remote {
-		dst := s.peers[sess.dst]
-		dst.downloads = removeSession(dst.downloads, sess)
-		sess.dl.sessions = removeSession(sess.dl.sessions, sess)
-		if sess.entry != nil && sess.entry.session == sess {
-			sess.entry.session = nil
-		}
+	dst := s.peers[sess.dst]
+	dst.downloads = removeSession(dst.downloads, sess)
+	sess.dl.sessions = removeSession(sess.dl.sessions, sess)
+	if sess.entry != nil && sess.entry.session == sess {
+		sess.entry.session = nil
 	}
 	s.col.sessionDone(s.q.Now(), sess)
 	s.deadSess = append(s.deadSess, sess)
@@ -794,9 +749,6 @@ func (s *Sim) completeDownload(p *peerState, dl *download) {
 		if req := s.peers[srv].dropIRQ(p.id, dl.object); req != nil {
 			s.retireRequest(req)
 		}
-	}
-	if s.sc != nil {
-		s.cancelRemoteFeeds(p, dl)
 	}
 	// Snapshot the feeding sessions before termination mutates dl.sessions
 	// underneath us. sessScratch is free here: its other users (evictFrom,
@@ -872,12 +824,6 @@ func (s *Sim) tryServe(p *peerState) {
 			break
 		}
 		s.startSession(p, s.peers[e.requester], e.object, 1, nil, e)
-	}
-	// Cross-domain demand is served strictly after local demand: the local
-	// IRQ has full visibility (rankers, exchanges), the remote queue only
-	// FIFO fairness.
-	if s.sc != nil {
-		s.serveRemoteQueue(p)
 	}
 }
 
@@ -1018,15 +964,9 @@ func (s *Sim) DisconnectPeer(id core.PeerID) {
 				s.retireRequest(req)
 			}
 		}
-		if s.sc != nil {
-			s.cancelRemoteFeeds(p, dl)
-		}
 		p.removePending(obj)
 		s.wanters.Remove(obj, p.id)
 	}
-	// Queued cross-domain demand dies with the peer; the far-side requesters
-	// recover via their stall timeout.
-	p.remoteQ = p.remoteQ[:0]
 	// Drop our queue; requesters will be served elsewhere or retry. Every
 	// entry is unserved by now (the upload terminations above released them).
 	for i, e := range p.irq {
@@ -1139,8 +1079,6 @@ func (s *Sim) stopContributing(p *peerState) {
 	}
 	p.irq = p.irq[:0]
 	clear(p.irqIndex)
-	// A free-rider serves no one, cross-domain requesters included.
-	p.remoteQ = p.remoteQ[:0]
 }
 
 // whitewash executes one identity churn for a whitewashing peer: it departs

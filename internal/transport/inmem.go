@@ -68,9 +68,17 @@ func (m *Mem) Dial(addr string) (Conn, error) {
 	client, server := pipe(addr, "mem://dialer", m.latency)
 	select {
 	case l.backlog <- server:
-		return client, nil
 	case <-l.done:
 		return nil, ErrClosed
+	}
+	// A Close racing the enqueue may already have drained the backlog:
+	// never hand out a connection that nobody will accept.
+	select {
+	case <-l.done:
+		_ = client.Close()
+		return nil, ErrClosed
+	default:
+		return client, nil
 	}
 }
 
@@ -101,6 +109,16 @@ func (l *memListener) Close() error {
 	l.once.Do(func() {
 		close(l.done)
 		l.net.drop(l.addr)
+		// Dials still queued will never be accepted; reset them so their
+		// dialers see the connection fail instead of waiting forever.
+		for {
+			select {
+			case c := <-l.backlog:
+				_ = c.Close()
+			default:
+				return
+			}
+		}
 	})
 	return nil
 }

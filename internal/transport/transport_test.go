@@ -178,6 +178,38 @@ func TestMemListenerCloseUnblocksAccept(t *testing.T) {
 	}
 }
 
+// TestMemListenerCloseResetsPendingDials: a dial still queued in the
+// backlog when its listener closes is never accepted, so it must fail
+// rather than leave the dialer waiting on a peer that will never read.
+func TestMemListenerCloseResetsPendingDials(t *testing.T) {
+	m := NewMem()
+	l, err := m.Listen("mem://pending")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := m.Dial("mem://pending")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Recv()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("Recv err = %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		_ = c.Close()
+		t.Fatal("a never-accepted dial stayed open after its listener closed")
+	}
+}
+
 func TestMemSendAfterCloseFails(t *testing.T) {
 	m := NewMem()
 	l, err := m.Listen("mem://x")
